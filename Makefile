@@ -1,12 +1,13 @@
 # Build/test entry points. `make ci` is the gate: vet + the dlvet domain
 # analyzers + full tests + the race-detector pass over the concurrent
 # packages (the parallel explorer, the scheduler and the swarm worker
-# pool), plus the swarm, fuzz, observability, checkpoint/resume and
-# reduction A/B smoke runs.
+# pool) + a repeated explorer run that catches run-to-run
+# nondeterminism, plus the swarm, fuzz, observability, checkpoint/resume
+# and reduction A/B smoke runs.
 
 GO ?= go
 
-.PHONY: build test vet lint lint-json lint-sarif race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke spill-smoke serve-smoke admin-smoke ci bench-explore bench
+.PHONY: build test vet lint lint-json lint-sarif race explore-repeat swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke spill-smoke serve-smoke admin-smoke ci bench-explore bench
 
 build:
 	$(GO) build ./...
@@ -42,6 +43,13 @@ lint-sarif:
 # (multi-worker searches, concurrent seen-set adds, parallel increments).
 race:
 	$(GO) test -race ./internal/explore/... ./internal/sim/... ./internal/swarm/... ./internal/obs/... ./internal/transport/...
+
+# The explorer promises Results that do not depend on goroutine
+# scheduling (worker count, modes, resume). One passing run can hide a
+# scheduling-dependent figure, so the suite runs three times; about two
+# minutes on a 2-core machine.
+explore-repeat:
+	$(GO) test -count=3 ./internal/explore/...
 
 # A fixed-seed conformance sweep (~5s): every registered protocol over its
 # claimed channels and tolerated faults must produce zero violations, and
@@ -221,7 +229,7 @@ admin-smoke:
 		/tmp/admin-smoke-client.txt /tmp/admin-smoke-server.jsonl \
 		/tmp/admin-smoke-client.jsonl /tmp/admin-smoke-merge.txt
 
-ci: vet lint test race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke spill-smoke serve-smoke admin-smoke
+ci: vet lint test race explore-repeat swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke spill-smoke serve-smoke admin-smoke
 
 # Regenerate BENCH_explore.json (model-checker throughput + dedup memory).
 bench-explore:

@@ -10,6 +10,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -120,14 +121,25 @@ func TestProfilesFlushedOnViolationPath(t *testing.T) {
 // -metrics and checks both artifacts: the metrics file is valid JSON
 // with the acceptance consistency invariant (expanded == Σ per-worker),
 // and the trace is schema-valid JSONL ending in the final metrics event.
+// The violation cut the search short, so the summary line and the
+// explore.done event must both say exhausted=false and agree on the
+// state count.
 func TestTraceAndMetricsFlags(t *testing.T) {
 	dir := t.TempDir()
 	o := violatingOptions(dir)
 	o.cpuProfile, o.memProfile = "", ""
 	o.tracePath = filepath.Join(dir, "trace.jsonl")
 	o.metrics = filepath.Join(dir, "metrics.json")
-	if err := run(o, io.Discard); err != nil {
+	var out bytes.Buffer
+	if err := run(o, &out); err != nil {
 		t.Fatal(err)
+	}
+	summary := regexp.MustCompile(`explored (\d+) states .*exhausted=(true|false)`).FindStringSubmatch(out.String())
+	if summary == nil {
+		t.Fatalf("no summary line:\n%s", out.String())
+	}
+	if summary[2] != "false" {
+		t.Errorf("summary reports exhausted=%s after a violation", summary[2])
 	}
 
 	blob, err := os.ReadFile(o.metrics)
@@ -157,6 +169,10 @@ func TestTraceAndMetricsFlags(t *testing.T) {
 	var v obs.Validator
 	var lastEvent string
 	sawViolation := false
+	var done *struct {
+		States    int64 `json:"states"`
+		Exhausted bool  `json:"exhausted"`
+	}
 	sc := bufio.NewScanner(tf)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -165,8 +181,13 @@ func TestTraceAndMetricsFlags(t *testing.T) {
 			t.Fatalf("trace line invalid: %v", err)
 		}
 		lastEvent = event
-		if event == "explore.violation" {
+		switch event {
+		case "explore.violation":
 			sawViolation = true
+		case "explore.done":
+			if err := json.Unmarshal(sc.Bytes(), &done); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -174,6 +195,14 @@ func TestTraceAndMetricsFlags(t *testing.T) {
 	}
 	if !sawViolation {
 		t.Error("trace has no explore.violation event")
+	}
+	switch {
+	case done == nil:
+		t.Error("trace has no explore.done event")
+	case done.Exhausted:
+		t.Error("explore.done carries exhausted=true after a violation")
+	case strconv.FormatInt(done.States, 10) != summary[1]:
+		t.Errorf("explore.done states = %d, summary line says %s", done.States, summary[1])
 	}
 	if lastEvent != "metrics" {
 		t.Errorf("trace ends with %q, want the final metrics event", lastEvent)

@@ -27,9 +27,12 @@ import (
 // cumulative counters. Because levels are barriers, the snapshot is a
 // *complete* cut of the search: resuming from it and running to the end
 // yields the same Result the uninterrupted run would have produced
-// (identical StatesExplored, DepthReached, Exhausted/DepthLimited, and
-// — for sequential searches — the identical violation trace; see
-// DESIGN.md on the level-barrier resume invariant).
+// (identical verdict, trace length, StatesExplored, DepthReached and
+// Exhausted/DepthLimited — on a violating search StatesExplored counts
+// the states admitted before the violating level and Exhausted is
+// false — and the identical violation trace wherever the frontier order
+// is fixed: Workers == 1, or levels no wider than one worker batch; see
+// Config.Workers and DESIGN.md on the level-barrier resume invariant).
 //
 // On-disk format (version 1): a JSONL file of
 //

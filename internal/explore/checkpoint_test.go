@@ -93,7 +93,9 @@ func requireEqualResults(t *testing.T, label string, got, want *Result) {
 
 // TestDepthReachedMatchesTraceLength: regression for the violation-path
 // off-by-one — the violating node lives one level below the frontier
-// being expanded, so DepthReached must equal the trace length.
+// being expanded, so DepthReached must equal the trace length. The
+// violating level is cut short, so the search must not claim to have
+// exhausted its bounded space either.
 func TestDepthReachedMatchesTraceLength(t *testing.T) {
 	sys, cfg := crashSearch(t)
 	res, err := BFS(sys, cfg)
@@ -105,6 +107,9 @@ func TestDepthReachedMatchesTraceLength(t *testing.T) {
 	}
 	if res.DepthReached != len(res.Trace) {
 		t.Errorf("DepthReached = %d, want len(Trace) = %d", res.DepthReached, len(res.Trace))
+	}
+	if res.Exhausted {
+		t.Error("violating search reports Exhausted=true")
 	}
 }
 
@@ -328,6 +333,59 @@ func TestResumeEquivalenceVerifyingRun(t *testing.T) {
 				t.Fatalf("exact=%t level %d: resume: %v", exact, k, err)
 			}
 			requireEqualResults(t, "resumed verifying run", resumed, want)
+		}
+	}
+}
+
+// TestResumeViolatingRunAcrossWorkers: resuming a violating search with
+// more workers must reproduce everything Config.Workers promises for
+// violating searches — verdict, trace length, StatesExplored (the states
+// admitted before the violating level), DepthReached and
+// Exhausted=false. The Go-Back-N reordering search has levels wider than
+// levelBatch, so the resumed workers really race within levels.
+func TestResumeViolatingRunAcrossWorkers(t *testing.T) {
+	var c searchCase
+	for _, sc := range searchCases() {
+		if sc.name == "find-reordering-bug" {
+			c = sc
+		}
+	}
+	want := runCase(t, c, func(cfg *Config) { cfg.Workers = 1 })
+	sys, err := core.NewSystem(c.proto(), c.fifo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	cfg := c.cfg
+	cfg.Workers = 1
+	stopAtLevel(&cfg, 8, path)
+	partial, err := BFS(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !partial.Interrupted {
+		t.Fatal("search ended before the level-8 stop")
+	}
+	ck, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 4} {
+		rcfg := c.cfg
+		rcfg.Resume = ck
+		rcfg.Workers = w
+		res, err := BFS(sys, rcfg)
+		if err != nil {
+			t.Fatalf("workers=%d: resume: %v", w, err)
+		}
+		if res.Violation == nil || res.Violation.Property != want.Violation.Property {
+			t.Fatalf("workers=%d: violation %v, want %v", w, res.Violation, want.Violation)
+		}
+		if len(res.Trace) != len(want.Trace) || res.StatesExplored != want.StatesExplored ||
+			res.DepthReached != want.DepthReached || res.Exhausted {
+			t.Errorf("workers=%d: (trace=%d states=%d depth=%d exhausted=%t), want (%d, %d, %d, false)",
+				w, len(res.Trace), res.StatesExplored, res.DepthReached, res.Exhausted,
+				len(want.Trace), want.StatesExplored, want.DepthReached)
 		}
 	}
 }

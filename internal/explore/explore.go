@@ -20,15 +20,18 @@
 // reused buffers via the AppendFingerprint fast paths. Because levels
 // remain barriers, every node at depths below the first violating level is
 // fully expanded before that level is entered, so a returned trace is a
-// shortest violating schedule regardless of worker count.
+// shortest violating schedule regardless of worker count, and the state
+// count a violating search reports (the states admitted before the
+// violating level) is a function of the search alone.
 //
 // Two opt-in representations let searches scale past RAM: Config.SpillDir
 // moves the cold majority of the seen-set into sorted run files on disk
 // (spill.go), and Config.Arena re-lays each frontier level as flat slabs
 // with 32-bit parent offsets instead of one heap node per state
-// (arena.go). Both are pure representation changes: verdicts, traces,
-// state counts and checkpoint files are identical to the in-memory
-// defaults.
+// (arena.go). Both are pure representation changes: verdicts, state
+// counts and checkpoint files are identical to the in-memory defaults,
+// and so are traces wherever the frontier order is fixed (see
+// Config.Workers).
 package explore
 
 import (
@@ -91,10 +94,21 @@ type Config struct {
 	// AllowLoss explores internal lose actions of lossy channels.
 	AllowLoss bool
 	// Workers is the number of goroutines expanding each BFS level; 0 or 1
-	// runs sequentially. Levels are barriers, so the depth of the first
-	// violation — and hence the returned trace length — does not depend on
-	// Workers; for exhaustive (violation-free, within-budget) searches,
-	// StatesExplored and DepthReached are also Workers-independent.
+	// runs sequentially. Levels are barriers, so what a search reports
+	// does not depend on Workers, apart from a violating search's specific
+	// trace and the footprint figures (SeenSetBytes, Spill).
+	// Exhaustive searches agree on StatesExplored, DepthReached and
+	// Exhausted. Violating searches agree on the verdict, the trace
+	// length, StatesExplored (the states admitted before the violating
+	// level), DepthReached and Exhausted=false. The trace itself is fixed
+	// only where the frontier order is. That holds with Workers == 1, and
+	// when every level before the violating one is no wider than one
+	// worker batch (levelBatch nodes), because one worker then expands
+	// each such level in order. Wider levels are split among racing
+	// workers, which changes the order of the next frontier; and within
+	// the violating level the first violation reported cancels the rest,
+	// so the earliest violation seen wins, not necessarily the earliest
+	// in frontier order.
 	Workers int
 	// ExactDedup deduplicates on full fingerprint keys instead of 64-bit
 	// hashes: the collision-paranoid escape hatch, at ~key-length bytes
@@ -142,7 +156,8 @@ type Config struct {
 	// level, plus seen-set occupancy, the violation (schedule embedded)
 	// and a final summary.
 	Trace *obs.Trace
-	// OnLevel, when non-nil, is called after every completed BFS level —
+	// OnLevel, when non-nil, is called after every expanded BFS level,
+	// including the cut-short violating one (see LevelStats.States) —
 	// the hook progress reporters hang off for long searches.
 	OnLevel func(LevelStats)
 	// Checkpoint configures periodic durable snapshots of the search,
@@ -195,11 +210,17 @@ type Result struct {
 	// Trace is a schedule reaching the violation (inputs included), nil
 	// when Violation is nil.
 	Trace ioa.Schedule
-	// StatesExplored counts distinct (state, monitor, inputs-used) nodes.
+	// StatesExplored counts distinct (state, monitor, inputs-used) nodes
+	// admitted, capped at MaxStates. On a violating search it counts the
+	// states admitted before the violating level began: that level is cut
+	// short when the violation is found, and how much of it was admitted
+	// by then depends on worker scheduling, while every earlier level is
+	// complete.
 	StatesExplored int
 	// Exhausted reports that the entire bounded space was covered: no node
-	// was dropped for exceeding MaxStates and the search was not
-	// interrupted. "Exhausted" always means exhausted *within* MaxDepth —
+	// was dropped for exceeding MaxStates, the search was not interrupted
+	// and no violation cut a level short (a violating search always
+	// reports false). "Exhausted" always means exhausted *within* MaxDepth —
 	// check DepthLimited to see whether the depth bound was the binding
 	// constraint. Together with Violation == nil it is a bounded
 	// verification certificate.
@@ -555,6 +576,10 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 			res.DepthLimited = true
 			break
 		}
+		// Every earlier level is complete, so this count does not depend
+		// on Workers; a violating search reports it (see
+		// Result.StatesExplored).
+		levelStart := s.count.Load()
 		found, err := s.expandLevel(cur, bufs, workers)
 		if err != nil {
 			return nil, err
@@ -577,6 +602,8 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 			// expanded; recording the frontier depth under-reported by one
 			// and disagreed with len(res.Trace).
 			res.DepthReached = depth + 1
+			res.StatesExplored = int(min(levelStart, s.maxStates))
+			res.Exhausted = false
 			break
 		}
 		if s.arena {
@@ -610,7 +637,9 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	res.StatesExplored = int(min(s.count.Load(), s.maxStates))
+	if res.Violation == nil {
+		res.StatesExplored = int(min(s.count.Load(), s.maxStates))
+	}
 	res.Exhausted = res.Exhausted && !s.truncated.Load() && !res.Interrupted
 	res.SeenSetBytes = s.seen.ApproxBytes()
 	if sp, ok := s.seen.(*spilledSeen); ok {

@@ -60,6 +60,14 @@ func TestModesEquivalence(t *testing.T) {
 						base.Symmetry = sym
 						base.POR = por
 
+						// requireEqualResults compares traces too. At w4 that
+						// holds for crashSearch because its levels before the
+						// violating one are at most 28 nodes wide, below
+						// levelBatch, so one worker expands each in order and
+						// the violating level's frontier order is the
+						// sequential one; that level has a single violating
+						// successor, so whichever worker finds it reports the
+						// same trace.
 						var want *Result
 						for _, mode := range allModes(t) {
 							cfg := base

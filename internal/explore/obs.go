@@ -17,7 +17,9 @@ import (
 //
 //	explore.states_expanded      counter  frontier nodes expanded
 //	explore.worker.NN.expanded   counter  per-worker share of the above
-//	explore.states_admitted      counter  fresh states admitted (excl. start)
+//	explore.states_admitted      counter  fresh states admitted (excl. start;
+//	                                      includes the cut-short violating
+//	                                      level, unlike StatesExplored)
 //	explore.dedup_hits           counter  successors merged into seen states
 //	explore.dedup_misses         counter  successors that were new
 //	explore.frontier_peak        gauge    widest BFS level
@@ -43,7 +45,10 @@ import (
 //	explore.spill.merges         counter  compacting run merges
 //	explore.spill.probes         counter  run lookups past the Bloom filter
 //
-// Trace events: explore.level (one per completed BFS level),
+// Trace events: explore.level (one per expanded BFS level; on a
+// violating search the last one describes the cut-short violating level
+// and counts the work done on it, so its states figure can exceed
+// Result.StatesExplored and vary with Workers),
 // explore.checkpoint (one per durable snapshot: level, nodes, bytes,
 // duration), explore.violation (with the violating schedule embedded),
 // explore.seen (shard occupancy) and explore.done.
@@ -56,7 +61,10 @@ type LevelStats struct {
 	Frontier int
 	// Admitted is the number of fresh states admitted at Depth+1.
 	Admitted int
-	// States is the total number of distinct states admitted so far.
+	// States is the total number of distinct states admitted so far. On
+	// the violating level of a violating search, Admitted and States
+	// count the work done before the level was cut short, which depends
+	// on Workers; Result.StatesExplored excludes that level.
 	States int64
 	// Elapsed is the wall time since the search started.
 	Elapsed time.Duration

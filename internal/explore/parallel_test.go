@@ -86,16 +86,21 @@ func runCase(t *testing.T, c searchCase, mutate func(*Config)) *Result {
 }
 
 // TestParallelMatchesSequential: because BFS levels are barriers, worker
-// count must not change what is explored. Exhaustive searches must agree
-// exactly on StatesExplored/DepthReached/Exhausted; violating searches
-// must agree on the property and on the trace length (the shortest-
+// count must not change what is explored. Every search must agree
+// exactly on StatesExplored/DepthReached/Exhausted — for a violating
+// search that is the states admitted before the violating level, the
+// violation's depth and Exhausted=false — and violating searches must
+// also agree on the property and on the trace length (the shortest-
 // counterexample guarantee — the specific trace may differ, since workers
-// race within the violating level). Run with -race this doubles as the
+// race within wide levels). Run with -race this doubles as the
 // explorer's data-race test.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, c := range searchCases() {
 		t.Run(c.name, func(t *testing.T) {
 			base := runCase(t, c, func(cfg *Config) { cfg.Workers = 1 })
+			if c.violating && base.Exhausted {
+				t.Error("workers=1: violating search reports Exhausted=true")
+			}
 			for _, w := range []int{2, 4, 8} {
 				res := runCase(t, c, func(cfg *Config) { cfg.Workers = w })
 				if c.violating {
@@ -105,7 +110,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 					if len(res.Trace) != len(base.Trace) {
 						t.Errorf("workers=%d: trace length %d, want %d", w, len(res.Trace), len(base.Trace))
 					}
-					continue
 				}
 				if res.StatesExplored != base.StatesExplored ||
 					res.DepthReached != base.DepthReached ||

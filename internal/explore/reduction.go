@@ -8,8 +8,9 @@ import (
 
 // This file implements the explorer's two state-space reductions. Both
 // are opt-in (Config.Symmetry, Config.POR), independent, and preserve
-// the search's verdict, its shortest-violating-trace level semantics,
-// and the exhausted/depth-limited statuses.
+// the search's verdict, its shortest-violating-trace level semantics
+// (the trace length, not the specific trace), and the
+// exhausted/depth-limited statuses.
 //
 // # Symmetry reduction (Config.Symmetry)
 //
@@ -75,12 +76,18 @@ import (
 // unsuppressed, so u is still reached at the same depth. The reachable
 // state set and each state's BFS admission level are unchanged — POR
 // prunes transitions (dedup hits), not states — hence verdicts,
-// shortest traces, StatesExplored, and Exhausted/DepthLimited are all
-// byte-identical with the reduction on or off. The standard ample-set
-// guards hold by construction: pool inputs, send_msg/receive_msg (the
-// monitor-visible actions) and send_pkt are never suppressed, and a
-// level's every node is still expanded, so no enabled transition
-// starves across a level.
+// shortest-trace lengths, StatesExplored, DepthReached and
+// Exhausted/DepthLimited are all identical with the reduction on or off.
+// On a violating search that holds because StatesExplored counts only
+// the states admitted before the violating level (complete levels, whose
+// state sets POR leaves unchanged) and Exhausted is false either way.
+// The specific violating trace may differ: pruning a transition can
+// change which parent first reaches a state, and so the frontier order.
+//
+// The standard ample-set guards hold by construction: pool inputs,
+// send_msg/receive_msg (the monitor-visible actions) and send_pkt are
+// never suppressed, and a level's every node is still expanded, so no
+// enabled transition starves across a level.
 
 // setupReductions resolves the effective reduction switches and their
 // lookup tables; called once from BFS after comps/chans/dupOf are built.
